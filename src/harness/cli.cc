@@ -64,17 +64,28 @@ CliOptions::str(const std::string &flag, const std::string &fallback) const
 }
 
 std::uint64_t
-CliOptions::num(const std::string &flag, std::uint64_t fallback) const
+CliOptions::numUpTo(const std::string &flag, std::uint64_t fallback,
+                    std::uint64_t max) const
 {
     auto it = _values.find(flag);
     if (it == _values.end())
         return fallback;
-    try {
-        return std::stoull(it->second);
-    } catch (...) {
-        fatal("flag --%s: '%s' is not a number", flag.c_str(),
-              it->second.c_str());
+    const std::string &text = it->second;
+    if (text.empty() ||
+        !std::all_of(text.begin(), text.end(), [](unsigned char c) {
+            return std::isdigit(c) != 0;
+        }))
+        fatal("flag --%s: '%s' is not a number (expected decimal digits)",
+              flag.c_str(), text.c_str());
+    std::uint64_t v = 0;
+    for (const char c : text) {
+        const unsigned digit = static_cast<unsigned>(c - '0');
+        if (v > (max - digit) / 10)
+            fatal("flag --%s: '%s' is out of range (at most %llu)",
+                  flag.c_str(), text.c_str(), (unsigned long long)max);
+        v = v * 10 + digit;
     }
+    return v;
 }
 
 ProtocolParams

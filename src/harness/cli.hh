@@ -10,9 +10,12 @@
 #ifndef LIMITLESS_HARNESS_CLI_HH
 #define LIMITLESS_HARNESS_CLI_HH
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "directory/limited_dir.hh"
@@ -41,10 +44,25 @@ class CliOptions
 
     std::string str(const std::string &flag,
                     const std::string &fallback = "") const;
-    std::uint64_t num(const std::string &flag,
-                      std::uint64_t fallback) const;
+
+    /**
+     * Value of a numeric flag as @p T, or @p fallback when absent. Only
+     * plain decimal digits are accepted: a sign, trailing characters or
+     * a value @p T cannot hold is fatal, naming the flag.
+     */
+    template <typename T = std::uint64_t>
+    T
+    num(const std::string &flag, std::type_identity_t<T> fallback) const
+    {
+        static_assert(std::is_unsigned_v<T>, "flags are unsigned");
+        return static_cast<T>(
+            numUpTo(flag, fallback, std::numeric_limits<T>::max()));
+    }
 
   private:
+    std::uint64_t numUpTo(const std::string &flag, std::uint64_t fallback,
+                          std::uint64_t max) const;
+
     std::map<std::string, std::string> _values;
 };
 

@@ -59,23 +59,20 @@ Machine::Machine(const MachineConfig &cfg)
     // the mesh (>= one router cycle), which is what makes same-window
     // parallel execution exact — the ideal network delivers in the same
     // tick and is therefore rejected.
+    const unsigned cluster =
+        cfg.topology.clusterSize > 1 ? cfg.topology.clusterSize : 1;
+    const unsigned units = std::max(1u, cfg.numNodes / cluster);
     if (cfg.simThreads > 1) {
         if (cfg.makeNetwork || cfg.network != NetworkKind::mesh)
             fatal("simThreads > 1 requires the built-in mesh network "
                   "(cross-partition lookahead comes from its hop latency)");
         if (!cfg.txnTraceOut.empty())
             fatal("simThreads > 1 does not support transaction tracing");
-        const unsigned cluster =
-            cfg.topology.clusterSize > 1 ? cfg.topology.clusterSize : 1;
-        const unsigned units = std::max(1u, cfg.numNodes / cluster);
         _numParts = std::min(cfg.simThreads, units);
     }
     _partOf.resize(cfg.numNodes, 0);
     _partQueues.assign(1, &_eq);
     if (_numParts > 1) {
-        const unsigned cluster =
-            cfg.topology.clusterSize > 1 ? cfg.topology.clusterSize : 1;
-        const unsigned units = std::max(1u, cfg.numNodes / cluster);
         for (NodeId i = 0; i < cfg.numNodes; ++i) {
             const unsigned unit = std::min(i / cluster, units - 1);
             _partOf[i] = static_cast<unsigned>(
@@ -365,12 +362,8 @@ Machine::setupTelemetry()
         "trap_service", "trap service time per overflow (cycles)", 16);
     _wsSink = ws;
     _svcSink = svc;
-    for (auto &node : _nodes) {
-        node->mem().setTelemetrySinks(ws, svc);
-        if (ChipHomeController *ch = node->chipHome())
-            ch->setTelemetrySinks(ws, svc);
-        node->dispatcher().setServiceTimeSink(svc);
-    }
+    for (auto &node : _nodes)
+        node->setTelemetrySinks(ws, svc);
 }
 
 std::string
@@ -418,39 +411,18 @@ Machine::spawnOn(NodeId node_id, Processor::ThreadFn fn)
 RunResult
 Machine::run(Tick max_cycles)
 {
-    if (_numParts > 1)
-        return runParallel(max_cycles);
-
-    PROF_SCOPE("machine.run");
-    RunResult result;
+    // The root scope name tells a profile which kernel ran.
+    PROF_SCOPE(_numParts > 1 ? "machine.run_parallel" : "machine.run");
     if (_spawned == 0)
         fatal("Machine::run with no threads spawned");
-
     const auto host_start = std::chrono::steady_clock::now();
-    auto host_elapsed = [host_start]() {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - host_start)
-            .count();
-    };
 
-    unsigned finished = 0;
-    Tick done_tick = 0;
-    for (auto &node : _nodes) {
-        node->processor().setOnThreadDone([&]() {
-            ++finished;
-            if (finished == _spawned)
-                done_tick = _eq.now();
-        });
-    }
     for (auto &node : _nodes)
         node->processor().start();
-
     if (_telemetry)
         _telemetry->start([this]() { return allThreadsDone(); });
 
-    auto all_done = [&]() { return finished == _spawned; };
-
-    // The watchdog polls total ops once per event burst; resolve the
+    // The watchdog polls total ops between advance steps; resolve the
     // counters up front instead of re-finding them by name each poll.
     std::vector<const Counter *> op_counters;
     op_counters.reserve(_nodes.size());
@@ -464,288 +436,162 @@ Machine::run(Tick max_cycles)
         return ops;
     };
 
+    std::vector<std::uint64_t> base_events(_numParts);
+    for (unsigned p = 0; p < _numParts; ++p)
+        base_events[p] = _partQueues[p]->executedEvents();
+
+    // Polled between advance steps, always with every partition parked,
+    // so its machine-wide reads are synchronized. Completion comes
+    // first: once every thread has retired the run keeps going only to
+    // drain in-flight traffic (write-backs, final acks), so the
+    // coherence monitor sees a quiescent machine. Returns false to
+    // abort at max_cycles.
+    RunResult result;
+    bool threads_done = false;
+    bool aborted = false;
     std::uint64_t last_ops = progress();
     Tick last_progress_tick = 0;
-    std::uint64_t events = 0;
-    bool done = false;
-
-    while (!done) {
-        // Run a burst, then poll completion and the deadlock watchdog.
-        // runBurst returns short only when the queue drained.
-        const std::uint64_t n = _eq.runBurst(512);
-        events += n;
-        if (n < 512 && !all_done()) {
-            unsigned live = 0;
-            for (auto &nd : _nodes)
-                live += nd->processor().liveThreads();
-            panic("machine: event queue drained with %u live "
-                  "threads — deadlock", live);
-        }
-        done = all_done();
-        if (done)
-            break;
-        if (max_cycles && _eq.now() > max_cycles) {
-            result.cycles = _eq.now();
-            result.completed = false;
-            result.events = events;
-            result.hostSeconds = host_elapsed();
-            return result;
+    auto poll = [&](Tick now) {
+        if (threads_done || (threads_done = allThreadsDone()))
+            return true;
+        if (max_cycles && now > max_cycles) {
+            aborted = true;
+            result.cycles = now;
+            return false;
         }
         const std::uint64_t ops = progress();
         if (ops != last_ops) {
             last_ops = ops;
-            last_progress_tick = _eq.now();
-        } else if (_eq.now() - last_progress_tick > _cfg.watchdogCycles) {
+            last_progress_tick = now;
+        } else if (now - last_progress_tick > _cfg.watchdogCycles) {
             dumpStats(std::cerr);
             panic("machine: no memory operation completed for %llu "
                   "cycles — livelock/deadlock at tick %llu",
                   (unsigned long long)_cfg.watchdogCycles,
-                  (unsigned long long)_eq.now());
-        }
-    }
-
-    result.cycles = done_tick;
-    result.completed = true;
-
-    // Drain in-flight protocol traffic (write-backs, final acks) so the
-    // coherence monitor sees a quiescent machine.
-    events += _eq.run();
-    result.events = events;
-    result.hostSeconds = host_elapsed();
-
-    // Close the final (partial) telemetry window so window deltas sum
-    // exactly to the run totals, drain traffic included.
-    if (_telemetry)
-        _telemetry->finish();
-
-    // Hooks must not dangle past this call.
-    for (auto &node : _nodes)
-        node->processor().setOnThreadDone(nullptr);
-    return result;
-}
-
-RunResult
-Machine::runParallel(Tick max_cycles)
-{
-    PROF_SCOPE("machine.run_parallel");
-    RunResult result;
-    if (_spawned == 0)
-        fatal("Machine::run with no threads spawned");
-
-    const auto host_start = std::chrono::steady_clock::now();
-    auto host_elapsed = [host_start]() {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - host_start)
-            .count();
-    };
-
-    // Per-partition completion counts. A thread only ever retires on its
-    // own partition's worker, so each slot has a single writer; the
-    // coordinator folds them at window barriers (padded so neighbouring
-    // partitions don't false-share).
-    struct alignas(64) PartCount
-    {
-        std::uint64_t v = 0;
-    };
-    std::vector<PartCount> finishedShard(_numParts);
-    for (unsigned i = 0; i < _nodes.size(); ++i) {
-        std::uint64_t *slot = &finishedShard[_partOf[i]].v;
-        _nodes[i]->processor().setOnThreadDone([slot]() { ++*slot; });
-    }
-    for (auto &node : _nodes)
-        node->processor().start();
-
-    if (_telemetry)
-        _telemetry->start([this]() { return allThreadsDone(); });
-
-    // Watchdog probe, resolved once as in the serial loop. Only the
-    // coordinator evaluates it, between window barriers, so the reads
-    // are synchronized even though the counters live on every partition.
-    std::vector<const Counter *> op_counters;
-    op_counters.reserve(_nodes.size());
-    for (const auto &node : _nodes)
-        op_counters.push_back(static_cast<const Counter *>(
-            node->statSet("proc")->find("ops")));
-    auto progress = [&op_counters]() {
-        std::uint64_t ops = 0;
-        for (const Counter *c : op_counters)
-            ops += c->value();
-        return ops;
-    };
-
-    // Swap the shared telemetry histogram sinks for per-partition
-    // shadows; bucket increments commute, so merging them back after the
-    // run reproduces the serial histograms exactly.
-    std::vector<Log2Histogram> ws_shadow, svc_shadow;
-    if (_wsSink) {
-        ws_shadow.assign(_numParts, Log2Histogram(_wsSink->numBuckets()));
-        svc_shadow.assign(_numParts,
-                          Log2Histogram(_svcSink->numBuckets()));
-        for (unsigned i = 0; i < _nodes.size(); ++i) {
-            const unsigned p = _partOf[i];
-            _nodes[i]->mem().setTelemetrySinks(&ws_shadow[p],
-                                               &svc_shadow[p]);
-            if (ChipHomeController *ch = _nodes[i]->chipHome())
-                ch->setTelemetrySinks(&ws_shadow[p], &svc_shadow[p]);
-            _nodes[i]->dispatcher().setServiceTimeSink(&svc_shadow[p]);
-        }
-    }
-
-    // Latency stamps defer into per-partition buffers and replay into
-    // the main tracker in global tick order after the run (see
-    // LatencyTracker::DeferredStamp for the exactness argument).
-    std::vector<std::vector<LatencyTracker::DeferredStamp>> lat_bufs(
-        _numParts);
-
-    std::uint64_t base_events = 0;
-    std::vector<std::uint64_t> base_part_events(_numParts, 0);
-    for (unsigned p = 0; p < _numParts; ++p) {
-        base_part_events[p] = _partQueues[p]->executedEvents();
-        base_events += base_part_events[p];
-    }
-
-    std::uint64_t last_ops = progress();
-    Tick last_progress_tick = 0;
-    std::uint64_t windows = 0;
-    bool threads_done = false;
-    Tick done_tick = 0;
-    bool aborted = false;
-    Tick abort_tick = 0;
-
-    ParallelKernel::Hooks hooks;
-    hooks.threadInit = [&](unsigned p) {
-        // Every partition's thread-local recorder stamps off its own
-        // partition clock and defers latency hooks — partition 0 (the
-        // caller's recorder, the one holding the run's state) included,
-        // so the replay below sees one uniformly ordered stream.
-        FlightRecorder &fr = FlightRecorder::instance();
-        fr.setClock(_partQueues[p]);
-        fr.latency().deferTo(&lat_bufs[p], _partQueues[p]);
-    };
-    hooks.onWindow = [&](Tick t) -> bool {
-        if (!threads_done) {
-            std::uint64_t fin = 0;
-            for (const PartCount &c : finishedShard)
-                fin += c.v;
-            if (fin == _spawned) {
-                threads_done = true;
-                // The last thread retired during this window, so the
-                // serial loop's done_tick (its now() at the hook) is
-                // exactly the window tick.
-                done_tick = t;
-            }
-        }
-        if (threads_done)
-            return true; // keep running: drain in-flight traffic
-        if (max_cycles && t > max_cycles) {
-            aborted = true;
-            abort_tick = t;
-            return false;
-        }
-        // A window is one simulated tick, so poll the watchdog on a
-        // stride instead of every window; the panic trips at most 64
-        // windows later than the serial loop's burst-granularity check.
-        if ((++windows & 63) == 0) {
-            const std::uint64_t ops = progress();
-            if (ops != last_ops) {
-                last_ops = ops;
-                last_progress_tick = t;
-            } else if (t - last_progress_tick > _cfg.watchdogCycles) {
-                dumpStats(std::cerr);
-                panic("machine: no memory operation completed for %llu "
-                      "cycles — livelock/deadlock at tick %llu",
-                      (unsigned long long)_cfg.watchdogCycles,
-                      (unsigned long long)t);
-            }
+                  (unsigned long long)now);
         }
         return true;
     };
 
-    auto *mesh = dynamic_cast<MeshNetwork *>(_net.get());
-    // Hand the kernel the stats sink only when someone will consume it
-    // (pk.* telemetry or the host profiler): the timed barrier path
-    // costs two clock reads per arrival per worker per window, which is
-    // measurable on the thousands of tiny windows a run executes. The
-    // per-partition event accounting below is free (post-join) and
-    // stays on unconditionally.
-    const bool time_barriers = _cfg.pkTelemetry || HostProfiler::enabled();
-    ParallelKernel kernel(_partQueues, mesh, _topo->minHopLookahead(),
-                          time_barriers ? _pkStats.get() : nullptr);
-    kernel.run(hooks);
-
-    // Back on the caller thread, workers joined. Return the recorder to
-    // direct mode and replay the deferred latency stamps in global tick
-    // order (stable sort keeps each partition's own order within a tick).
-    FlightRecorder &fr = FlightRecorder::instance();
-    fr.setClock(&_eq);
-    fr.latency().deferTo(nullptr, nullptr);
-    std::size_t total_stamps = 0;
-    for (const auto &buf : lat_bufs)
-        total_stamps += buf.size();
-    std::vector<LatencyTracker::DeferredStamp> stamps;
-    stamps.reserve(total_stamps);
-    for (const auto &buf : lat_bufs)
-        stamps.insert(stamps.end(), buf.begin(), buf.end());
-    std::stable_sort(stamps.begin(), stamps.end(),
-                     [](const LatencyTracker::DeferredStamp &a,
-                        const LatencyTracker::DeferredStamp &b) {
-                         return a.now < b.now;
-                     });
-    for (const auto &s : stamps)
-        fr.latency().replay(s);
-
-    // Fold the per-partition histogram shadows back into the shared
-    // sinks and repoint the producers at them.
-    if (_wsSink) {
-        for (unsigned p = 0; p < _numParts; ++p) {
-            _wsSink->merge(ws_shadow[p]);
-            _svcSink->merge(svc_shadow[p]);
+    // Advance until every queue drains or poll aborts.
+    if (_numParts == 1) {
+        // runBurst returns short only when the queue drained.
+        while (_eq.runBurst(512) == 512 && poll(_eq.now())) {
         }
-        for (auto &node : _nodes) {
-            node->mem().setTelemetrySinks(_wsSink, _svcSink);
-            if (ChipHomeController *ch = node->chipHome())
-                ch->setTelemetrySinks(_wsSink, _svcSink);
-            node->dispatcher().setServiceTimeSink(_svcSink);
+    } else {
+        // Swap the shared telemetry histogram sinks for per-partition
+        // shadows; bucket increments commute, so merging them back after
+        // the run reproduces the serial histograms exactly.
+        std::vector<Log2Histogram> ws_shadow, svc_shadow;
+        if (_wsSink) {
+            ws_shadow.assign(_numParts,
+                             Log2Histogram(_wsSink->numBuckets()));
+            svc_shadow.assign(_numParts,
+                              Log2Histogram(_svcSink->numBuckets()));
+            for (unsigned i = 0; i < _nodes.size(); ++i)
+                _nodes[i]->setTelemetrySinks(&ws_shadow[_partOf[i]],
+                                             &svc_shadow[_partOf[i]]);
+        }
+
+        // Latency stamps defer into per-partition buffers and replay
+        // into the main tracker in global tick order after the run (see
+        // LatencyTracker::DeferredStamp for the exactness argument).
+        std::vector<std::vector<LatencyTracker::DeferredStamp>> lat_bufs(
+            _numParts);
+
+        ParallelKernel::Hooks hooks;
+        hooks.threadInit = [&](unsigned p) {
+            // Every partition's thread-local recorder stamps off its own
+            // partition clock and defers latency hooks — partition 0
+            // (the caller's recorder, the one holding the run's state)
+            // included, so the replay below sees one ordered stream.
+            FlightRecorder &fr = FlightRecorder::instance();
+            fr.setClock(_partQueues[p]);
+            fr.latency().deferTo(&lat_bufs[p], _partQueues[p]);
+        };
+        // A window is one simulated tick, so poll on a stride of 64
+        // windows rather than walking every processor each window.
+        // Completion is read from the processors, so the stride never
+        // moves RunResult.cycles; the abort and the watchdog trip at
+        // most 64 windows later than a per-window check would.
+        std::uint64_t windows = 0;
+        hooks.onWindow = [&](Tick t) {
+            return (++windows & 63) != 0 || poll(t);
+        };
+
+        // Hand the kernel the stats sink only when someone will consume
+        // it (pk.* telemetry or the host profiler): the timed barrier
+        // path costs two clock reads per arrival per worker per window.
+        const bool time_barriers =
+            _cfg.pkTelemetry || HostProfiler::enabled();
+        ParallelKernel(_partQueues, dynamic_cast<MeshNetwork *>(_net.get()),
+                       _topo->minHopLookahead(),
+                       time_barriers ? _pkStats.get() : nullptr)
+            .run(hooks);
+
+        // Back on the caller thread, workers joined. Return the recorder
+        // to direct mode and replay the deferred latency stamps in
+        // global tick order (stable sort keeps each partition's own
+        // order within a tick).
+        FlightRecorder &fr = FlightRecorder::instance();
+        fr.setClock(&_eq);
+        fr.latency().deferTo(nullptr, nullptr);
+        std::size_t total_stamps = 0;
+        for (const auto &buf : lat_bufs)
+            total_stamps += buf.size();
+        std::vector<LatencyTracker::DeferredStamp> stamps;
+        stamps.reserve(total_stamps);
+        for (const auto &buf : lat_bufs)
+            stamps.insert(stamps.end(), buf.begin(), buf.end());
+        std::stable_sort(stamps.begin(), stamps.end(),
+                         [](const LatencyTracker::DeferredStamp &a,
+                            const LatencyTracker::DeferredStamp &b) {
+                             return a.now < b.now;
+                         });
+        for (const auto &s : stamps)
+            fr.latency().replay(s);
+
+        // Fold the shadows back into the shared sinks and repoint the
+        // producers at them.
+        if (_wsSink) {
+            for (unsigned p = 0; p < _numParts; ++p) {
+                _wsSink->merge(ws_shadow[p]);
+                _svcSink->merge(svc_shadow[p]);
+            }
+            for (auto &node : _nodes)
+                node->setTelemetrySinks(_wsSink, _svcSink);
         }
     }
 
-    std::uint64_t events = 0;
-    for (EventQueue *q : _partQueues)
-        events += q->executedEvents();
-    events -= base_events;
-
-    // Per-partition event totals for the utilization exports (plain
-    // writes: the workers are joined).
-    for (unsigned p = 0; p < _numParts; ++p)
-        _pkStats->parts[p].events +=
-            _partQueues[p]->executedEvents() - base_part_events[p];
-
-    for (auto &node : _nodes)
-        node->processor().setOnThreadDone(nullptr);
-
-    if (aborted) {
-        result.cycles = abort_tick;
-        result.completed = false;
-        result.events = events;
-        result.hostSeconds = host_elapsed();
+    for (unsigned p = 0; p < _numParts; ++p) {
+        const std::uint64_t n =
+            _partQueues[p]->executedEvents() - base_events[p];
+        result.events += n;
+        if (_pkStats)
+            _pkStats->parts[p].events += n;
+    }
+    result.hostSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - host_start)
+                             .count();
+    if (aborted)
         return result;
-    }
 
-    if (!threads_done) {
+    if (!allThreadsDone()) {
         unsigned live = 0;
         for (auto &nd : _nodes)
             live += nd->processor().liveThreads();
         panic("machine: event queue drained with %u live "
               "threads — deadlock", live);
     }
-
-    result.cycles = done_tick;
+    // Each processor's last retirement is its own queue's now(): the
+    // serial tick, or the window tick under P > 1.
+    for (const auto &node : _nodes)
+        result.cycles =
+            std::max(result.cycles, node->processor().lastRetireTick());
     result.completed = true;
-    result.events = events;
-    result.hostSeconds = host_elapsed();
 
-    // The kernel runs to full drain, so the final (partial) telemetry
-    // window closes over the same quiescent machine as the serial path.
+    // Close the final (partial) telemetry window so window deltas sum
+    // exactly to the run totals, drain traffic included.
     if (_telemetry)
         _telemetry->finish();
     return result;

@@ -81,6 +81,17 @@ class Machine
     /**
      * Run until every spawned thread completes (then drain in-flight
      * protocol traffic), or until @p max_cycles (0 = no limit).
+     *
+     * One driver for every kernel: only the advance step depends on
+     * numPartitions(). P = 1 runs event bursts on the one queue; P > 1
+     * runs ParallelKernel windows (bit-identical simulated behavior,
+     * see sim/parallel_kernel.hh). Between steps one poll checks
+     * completion, then the max-cycles abort, then the watchdog (which
+     * panics when no memory operation completes for
+     * cfg.watchdogCycles); a drain that leaves live threads panics as a
+     * deadlock. RunResult::cycles is the latest tick at which a
+     * processor retired its last thread; RunResult::events sums every
+     * partition queue's executed events.
      */
     RunResult run(Tick max_cycles = 0);
 
@@ -134,9 +145,6 @@ class Machine
 
   private:
     void setupTelemetry();
-    /** Window-parallel run loop (cfg.simThreads > 1). Simulated behavior
-     *  is bit-identical to the serial run(); see sim/parallel_kernel.hh. */
-    RunResult runParallel(Tick max_cycles);
     MachineConfig _cfg;
     EventQueue _eq;
     std::shared_ptr<const Topology> _topo;
@@ -154,7 +162,7 @@ class Machine
     std::vector<std::unique_ptr<Node>> _nodes;
     std::unique_ptr<Telemetry> _telemetry;
     /** The shared producer-side histogram sinks registered by
-     *  setupTelemetry (null when telemetry is off); runParallel swaps in
+     *  setupTelemetry (null when telemetry is off); a P > 1 run swaps in
      *  per-partition shadows and merges them back here. */
     class Log2Histogram *_wsSink = nullptr;
     class Log2Histogram *_svcSink = nullptr;

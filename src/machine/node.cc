@@ -137,6 +137,15 @@ Node::deliver(PacketPtr pkt)
     }
 }
 
+void
+Node::setTelemetrySinks(Log2Histogram *workerSet, Log2Histogram *serviceTime)
+{
+    _mem->setTelemetrySinks(workerSet, serviceTime);
+    if (_chip)
+        _chip->setTelemetrySinks(workerSet, serviceTime);
+    _dispatcher->setServiceTimeSink(serviceTime);
+}
+
 const StatSet *
 Node::statSet(const std::string &component) const
 {

@@ -56,6 +56,11 @@ class Node
     /** Inbound dispatch (network receiver + local loopback). */
     void deliver(PacketPtr pkt);
 
+    /** Point every telemetry histogram producer on this node (home,
+     *  chip home, trap dispatcher) at @p workerSet / @p serviceTime. */
+    void setTelemetrySinks(Log2Histogram *workerSet,
+                           Log2Histogram *serviceTime);
+
     /** Look up one of this node's stat sets by component name
      *  ("proc", "cache", "mem", "ipi", "handler"); nullptr if unknown. */
     const StatSet *statSet(const std::string &component) const;

@@ -398,10 +398,9 @@ Processor::resumeCtx(unsigned ctx_id)
         ctx.state = CtxState::finished;
         assert(_live > 0);
         --_live;
+        _lastRetire = _eq.now();
         _statThreadsFinished += 1;
         _bound = -1;
-        if (_onThreadDone)
-            _onThreadDone();
         maybeDispatch();
         return;
     }

@@ -138,12 +138,6 @@ class Processor
     /** Preempt application work for @p cycles (trap handlers, Ts). */
     void stallFor(Tick cycles);
 
-    /** Invoked each time a thread program runs to completion. */
-    void setOnThreadDone(std::function<void()> fn)
-    {
-        _onThreadDone = std::move(fn);
-    }
-
     /** Attach / detach a trace-capture sink (nullptr detaches). */
     void setTraceSink(TraceSink *sink) { _sink = sink; }
     void noteAnnotation(std::uint64_t tag)
@@ -154,6 +148,9 @@ class Processor
 
     bool allDone() const { return _live == 0; }
     unsigned liveThreads() const { return _live; }
+    /** now() when a thread program last ran to completion (0 if none
+     *  has); once allDone(), the tick this processor's work ended. */
+    Tick lastRetireTick() const { return _lastRetire; }
     NodeId nodeId() const { return _self; }
     Tick now() const;
     Rng &rng() { return _rng; }
@@ -241,7 +238,6 @@ class Processor
     Rng _rng;
 
     std::vector<Ctx> _ctxs;
-    std::function<void()> _onThreadDone;
     TraceSink *_sink = nullptr;
 
     // Weak-ordering state: FIFO store buffer + waiters. Independent
@@ -265,6 +261,7 @@ class Processor
 
     int _bound = -1;      ///< context currently holding the pipeline
     unsigned _live = 0;
+    Tick _lastRetire = 0;
     unsigned _lastDispatched = 0;
     bool _haveLastRun = false;
     Tick _stallUntil = 0;

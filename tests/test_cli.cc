@@ -57,6 +57,38 @@ TEST(Cli, RejectsNonNumericValues)
     EXPECT_DEATH(opts.num("nodes", 0), "not a number");
 }
 
+TEST(Cli, RejectsSignsAndTrailingCharacters)
+{
+    for (const char *bad : {"-1", "+5", "12abc", " 7", "7 ", "0x10", ""}) {
+        const CliOptions opts = parseArgs({"--nodes", bad});
+        EXPECT_DEATH(opts.num("nodes", 0), "--nodes: .* is not a number")
+            << "'" << bad << "'";
+    }
+}
+
+TEST(Cli, RejectsValuesTheDestinationCannotHold)
+{
+    // 2^32 + 1 would wrap to 1 through a cast to unsigned.
+    const CliOptions wide = parseArgs({"--nodes", "4294967297"});
+    EXPECT_EQ(wide.num("nodes", 0), 4294967297u);
+    EXPECT_DEATH(wide.num<unsigned>("nodes", 0),
+                 "--nodes: .* is out of range \\(at most 4294967295\\)");
+
+    const CliOptions huge = parseArgs({"--nodes", "18446744073709551616"});
+    EXPECT_DEATH(huge.num("nodes", 0), "--nodes: .* is out of range");
+}
+
+TEST(Cli, AcceptsEveryValueInRange)
+{
+    EXPECT_EQ(parseArgs({"--nodes", "0"}).num<unsigned>("nodes", 9), 0u);
+    EXPECT_EQ(parseArgs({"--nodes", "007"}).num<unsigned>("nodes", 9), 7u);
+    EXPECT_EQ(parseArgs({"--nodes", "4294967295"}).num<unsigned>("nodes", 9),
+              4294967295u);
+    EXPECT_EQ(parseArgs({"--nodes", "18446744073709551615"}).num("nodes", 9),
+              18446744073709551615u);
+    EXPECT_EQ(parseArgs({}).num<unsigned>("nodes", 9), 9u);
+}
+
 TEST(Cli, ProtocolSpecParsing)
 {
     EXPECT_EQ(parseProtocol("full-map").kind, ProtocolKind::fullMap);

@@ -142,6 +142,26 @@ makeShapes()
 INSTANTIATE_TEST_SUITE_P(Shapes, MachineShape,
                          testing::ValuesIn(makeShapes()), shapeName);
 
+// The run driver's robustness paths are shared by both kernels, so each
+// case runs at simThreads 1 (serial) and 2 (two partitions of the
+// 2-node mesh, one per node).
+MachineConfig
+robustnessConfig(unsigned sim_threads)
+{
+    MachineConfig cfg;
+    cfg.numNodes = 2;
+    cfg.protocol = protocols::fullMap();
+    cfg.simThreads = sim_threads;
+    return cfg;
+}
+
+Task<>
+computeOnly(ThreadApi &t, int steps)
+{
+    for (int i = 0; i < steps; ++i)
+        co_await t.compute(100);
+}
+
 TEST(MachineRobustness, DrainedQueueWithLiveThreadsIsDetected)
 {
     // A thread parked on an awaitable nothing will ever resume: the
@@ -153,30 +173,61 @@ TEST(MachineRobustness, DrainedQueueWithLiveThreadsIsDetected)
         void await_suspend(std::coroutine_handle<>) noexcept {}
         void await_resume() const noexcept {}
     };
-    MachineConfig cfg;
-    cfg.numNodes = 2;
-    cfg.protocol = protocols::fullMap();
-    Machine m(cfg);
-    m.spawnOn(0, [](ThreadApi &t) -> Task<> {
-        co_await t.compute(5);
-        co_await Never{};
-    });
-    EXPECT_DEATH(m.run(), "deadlock");
+    for (unsigned threads : {1u, 2u}) {
+        SCOPED_TRACE(threads);
+        Machine m(robustnessConfig(threads));
+        ASSERT_EQ(m.numPartitions(), threads);
+        m.spawnOn(0, [](ThreadApi &t) -> Task<> {
+            co_await t.compute(5);
+            co_await Never{};
+        });
+        EXPECT_DEATH(m.run(), "drained with 1 live threads .*deadlock");
+    }
 }
 
 TEST(MachineRobustness, MaxCyclesCapReturnsIncomplete)
 {
-    MachineConfig cfg;
-    cfg.numNodes = 2;
-    cfg.protocol = protocols::fullMap();
-    Machine m(cfg);
-    m.spawnOn(0, [](ThreadApi &t) -> Task<> {
-        for (int i = 0; i < 1000; ++i)
-            co_await t.compute(100);
-    });
-    const RunResult r = m.run(/*max_cycles=*/500);
-    EXPECT_FALSE(r.completed);
-    EXPECT_LT(r.cycles, 100000u);
+    for (unsigned threads : {1u, 2u}) {
+        SCOPED_TRACE(threads);
+        Machine m(robustnessConfig(threads));
+        ASSERT_EQ(m.numPartitions(), threads);
+        m.spawnOn(0, [](ThreadApi &t) { return computeOnly(t, 1000); });
+        const RunResult r = m.run(/*max_cycles=*/500);
+        EXPECT_FALSE(r.completed);
+        EXPECT_GT(r.cycles, 500u);
+        EXPECT_LT(r.cycles, 100000u);
+        EXPECT_FALSE(m.allThreadsDone());
+    }
+}
+
+TEST(MachineRobustness, WatchdogCatchesThreadsThatNeverTouchMemory)
+{
+    // compute() is not a memory operation, so a thread that only
+    // computes past the watchdog window trips it under either kernel.
+    for (unsigned threads : {1u, 2u}) {
+        SCOPED_TRACE(threads);
+        MachineConfig cfg = robustnessConfig(threads);
+        cfg.watchdogCycles = 1000;
+        Machine m(cfg);
+        ASSERT_EQ(m.numPartitions(), threads);
+        m.spawnOn(0, [](ThreadApi &t) { return computeOnly(t, 10000); });
+        EXPECT_DEATH(m.run(), "no memory operation completed for 1000 "
+                              "cycles");
+    }
+}
+
+TEST(MachineRobustness, AbortedRunLeavesNothingBehindOnItsStack)
+{
+    // After an aborted run the caller may keep driving the queue; the
+    // threads that then retire must not reach back into run()'s frame.
+    // ctest runs this binary with ASAN_OPTIONS=detect_stack_use_after_return=1
+    // so a sanitizer build turns any such access into a failure.
+    Machine m(robustnessConfig(1));
+    m.spawnOn(0, [](ThreadApi &t) { return computeOnly(t, 1000); });
+    ASSERT_FALSE(m.run(/*max_cycles=*/500).completed);
+    m.eventQueue().run();
+    EXPECT_TRUE(m.allThreadsDone());
+    EXPECT_GE(m.node(0).processor().lastRetireTick(), 100000u);
 }
 
 TEST(MachineRobustness, StatsDumpMentionsEveryComponent)

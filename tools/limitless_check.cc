@@ -199,8 +199,7 @@ main(int argc, char **argv)
 
     ExploreLimits limits;
     limits.maxStates = opts.num("max-states", limits.maxStates);
-    limits.maxDepth =
-        static_cast<unsigned>(opts.num("max-depth", limits.maxDepth));
+    limits.maxDepth = opts.num<unsigned>("max-depth", limits.maxDepth);
     limits.maxMillis = opts.num("budget-ms", 0);
 
     // Build the config list: one explicit config, or the standard
@@ -210,22 +209,20 @@ main(int argc, char **argv)
         CheckConfig cfg;
         cfg.protocol = parseProtocol(opts.str("protocol"));
         if (opts.has("pointers"))
-            cfg.protocol.pointers =
-                static_cast<unsigned>(opts.num("pointers", 1));
+            cfg.protocol.pointers = opts.num<unsigned>("pointers", 1);
         if (opts.has("emulate"))
             cfg.protocol.limitlessMode = LimitlessMode::fullEmulation;
         cfg.script = opts.str("script", "smoke");
-        cfg.nodes = static_cast<unsigned>(opts.num("nodes", 2));
-        cfg.lines = static_cast<unsigned>(
-            opts.num("lines", cfg.script == "conflict" ? 2 : 1));
-        cfg.opsPerNode = static_cast<unsigned>(opts.num("ops", 0));
+        cfg.nodes = opts.num<unsigned>("nodes", 2);
+        cfg.lines =
+            opts.num<unsigned>("lines", cfg.script == "conflict" ? 2 : 1);
+        cfg.opsPerNode = opts.num<unsigned>("ops", 0);
         if (opts.has("topology") &&
             !parseTopologyKind(opts.str("topology"), cfg.topology))
             fatal("--topology: unknown topology '%s'",
                   opts.str("topology").c_str());
         if (opts.has("cluster")) {
-            cfg.topology.clusterSize =
-                static_cast<unsigned>(opts.num("cluster", 1));
+            cfg.topology.clusterSize = opts.num<unsigned>("cluster", 1);
             if (!cfg.topology.clusterSize ||
                 cfg.nodes % cfg.topology.clusterSize)
                 fatal("--cluster %u must divide --nodes %u evenly",
@@ -358,7 +355,7 @@ main(int argc, char **argv)
     CoverageScope coverage_scope;
     const bool quiet = opts.has("quiet");
     const bool json = opts.has("json");
-    const unsigned jobs = static_cast<unsigned>(opts.num("jobs", 1));
+    const unsigned jobs = opts.num<unsigned>("jobs", 1);
     bool violated = false;
 
     // One task per config; each task's lines go to a private buffer the

@@ -206,7 +206,7 @@ main(int argc, char **argv)
         HostProfiler::enable();
 
     MachineConfig cfg;
-    cfg.numNodes = static_cast<unsigned>(opts.num("nodes", 64));
+    cfg.numNodes = opts.num<unsigned>("nodes", 64);
     cfg.seed = opts.num("seed", 1);
     cfg.protocol = parseProtocol(opts.str("protocol", "limitless4"));
     if (opts.has("ts"))
@@ -224,8 +224,7 @@ main(int argc, char **argv)
         fatal("--topology: unknown topology '%s'",
               opts.str("topology").c_str());
     if (opts.has("cluster")) {
-        cfg.topology.clusterSize =
-            static_cast<unsigned>(opts.num("cluster", 1));
+        cfg.topology.clusterSize = opts.num<unsigned>("cluster", 1);
         if (!cfg.topology.clusterSize ||
             cfg.numNodes % cfg.topology.clusterSize)
             fatal("--cluster %u must divide --nodes %u evenly",
@@ -240,12 +239,11 @@ main(int argc, char **argv)
     }
     if (opts.str("memory-model", "sc") == "weak")
         cfg.proc.memoryModel = MemoryModel::weak;
-    cfg.metricsInterval =
-        static_cast<Tick>(opts.num("metrics-interval", 0));
+    cfg.metricsInterval = opts.num<Tick>("metrics-interval", 0);
     cfg.telemetryOut = opts.str("metrics-out", "telemetry.csv");
     cfg.txnTraceOut = opts.str("txn-trace-out", "");
-    cfg.txnTopK = static_cast<std::size_t>(opts.num("txn-top", 16));
-    cfg.simThreads = static_cast<unsigned>(opts.num("sim-threads", 1));
+    cfg.txnTopK = opts.num<std::size_t>("txn-top", 16);
+    cfg.simThreads = opts.num<unsigned>("sim-threads", 1);
     // Parallel runs always export the pk.* utilization columns (and the
     // parallel_kernel stats block): anyone driving --sim-threads from
     // this CLI is exactly the audience for the imbalance telemetry.
@@ -253,16 +251,12 @@ main(int argc, char **argv)
     if (cfg.simThreads > 1) {
         // The parallel kernel reproduces stats, telemetry and figures
         // bit-identically, but the streaming observers assume a single
-        // host thread; reject the combinations up front.
-        if (cfg.network == NetworkKind::ideal)
-            fatal("--sim-threads needs the mesh network: the ideal "
-                  "network's same-tick delivery leaves no "
-                  "cross-partition lookahead");
+        // host thread; reject the combinations up front. (The Machine
+        // constructor refuses the ideal network and transaction tracing
+        // itself.)
         if (opts.has("trace-out"))
             fatal("--sim-threads does not support --trace-out "
                   "(the event trace streams from one thread)");
-        if (!cfg.txnTraceOut.empty())
-            fatal("--sim-threads does not support --txn-trace-out");
         if (opts.has("capture-trace"))
             fatal("--sim-threads does not support --capture-trace");
         if (opts.has("log"))
@@ -310,7 +304,7 @@ main(int argc, char **argv)
     } else {
         workload = makeWorkloadFactory(
             opts.str("workload", "weather"),
-            static_cast<unsigned>(opts.num("iterations", 0)),
+            opts.num<unsigned>("iterations", 0),
             opts.has("seed") ? cfg.seed : 0)();
     }
     workload->install(machine);
