@@ -50,6 +50,15 @@ struct SchemeCase
     ProtocolParams proto;
 };
 
+// Print a case as its tag. Without this gtest prints the raw bytes,
+// which hold the tag's run-time address and uninitialized padding, so
+// the discovered ctest names would change with every build.
+void
+PrintTo(const SchemeCase &c, std::ostream *os)
+{
+    *os << c.tag;
+}
+
 std::string
 schemeName(const testing::TestParamInfo<SchemeCase> &info)
 {
